@@ -5,8 +5,7 @@
 //! paper's statistics module would report: total update execution time
 //! (simulated), message counts and volumes per coordination rule, longest
 //! update propagation path, and the query-time vs materialised trade-off.
-//! Host (wall-clock) time is reported alongside so Criterion benches and
-//! the `exp` binary agree on what is being measured.
+//! Host (wall-clock) time is reported alongside.
 
 use crate::table::Table;
 use codb_core::{CoDbNetwork, NetworkConfig, NodeSettings, UpdateOutcome};
@@ -677,7 +676,8 @@ pub fn e16() -> Table {
 /// its `binary` twin isolates the encoding: same records, same
 /// generations, smaller files and faster loads. The last column composes
 /// durability with incremental propagation (the E15 axis): a chain-4
-/// network with `incremental_updates: true` crashes a node mid-update
+/// `FaultPlan::crash_restart` run (incremental updates on) crashes a node
+/// mid-update
 /// (checkpointing it at a cadence matching the row, stores in the row's
 /// codec), restarts it from disk, has the *recovered node* initiate the
 /// reconvergence update, and reports the rejoin cost in messages — the
@@ -692,7 +692,7 @@ pub fn e17() -> Table {
     use codb_store::{
         Codec, ProtocolCounters, RecvCaches, ScratchDir, Store, SyncPolicy, WalRecord,
     };
-    use codb_workload::{run_crash_restart, CrashRestartPlan};
+    use codb_workload::{run_fault_plan, FaultPlan};
 
     let mut t = Table::new(
         "E17 — recovery: encoding × WAL replay vs checkpoint interval (1000 batches, 4 firings \
@@ -789,19 +789,23 @@ pub fn e17() -> Table {
             // so every non-`never` row checkpoints at least once before
             // the kill).
             let victim_ckpt = (interval > 0).then_some((interval / 10).max(2));
+            // The kill lands a third of the way through the update.
             let crash_dir = ScratchDir::new("e17-rejoin");
             let s = codb_workload::Scenario {
                 tuples_per_node: 20,
                 ..codb_workload::Scenario::quick(codb_workload::Topology::Chain(4))
             };
-            let plan = CrashRestartPlan {
-                recovered_initiates: true,
-                checkpoint_victim_every: victim_ckpt,
+            let victim = codb_core::NodeId(1);
+            let kill_at = (codb_workload::update_events(s) / 3).max(1);
+            let plan = FaultPlan {
                 codec,
-                ..CrashRestartPlan::new(s, codb_core::NodeId(1))
+                ..FaultPlan::crash_restart(s, victim, kill_at, victim, victim_ckpt)
             };
-            let report = run_crash_restart(&plan, crash_dir.path()).unwrap();
-            assert!(report.recovered_exactly(), "E17 rejoin run must reconverge: {report:?}");
+            let report = run_fault_plan(&plan, crash_dir.path()).unwrap();
+            assert!(
+                report.converged && report.factories_equal == report.nodes,
+                "E17 rejoin run must reconverge: {report:?}"
+            );
 
             t.row(vec![
                 codec.to_string(),

@@ -2,9 +2,7 @@
 //!
 //! The benchmark harness regenerating every experiment of the coDB
 //! reproduction (DESIGN.md §4). [`experiments`] holds one function per
-//! experiment id; the `exp` binary prints the tables; the Criterion
-//! benches in `benches/` measure the host-time distributions of the same
-//! runs.
+//! experiment id; the `exp` binary prints the tables.
 
 #![warn(missing_docs)]
 

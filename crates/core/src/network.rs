@@ -512,8 +512,9 @@ impl CoDbNetwork {
 }
 
 impl CoDbNode {
-    /// Next update sequence number (harness peek).
-    pub(crate) fn update_state_seq(&self) -> u64 {
+    /// Sequence number of the next update this node initiates (harness
+    /// peek: with [`CoDbNode::epoch`] it names that update's id).
+    pub fn update_state_seq(&self) -> u64 {
         self.next_update_seq
     }
 

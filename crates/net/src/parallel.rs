@@ -328,13 +328,12 @@ mod tests {
         let mut net: ParallelNet<Token, Counter> = ParallelNet::new();
         let n = 4u64;
         for i in 0..n {
-            net.add_peer(PeerId(i), Counter { next: PeerId((i + 1) % n), seen: 0 });
-        }
-        for i in 0..n {
             net.open_pipe(PeerId(i), PeerId((i + 1) % n));
         }
+        net.add_peers((0..n).map(|i| (PeerId(i), Counter { next: PeerId((i + 1) % n), seen: 0 })));
         net.inject(PeerId(n - 1), PeerId(0), Token(15));
         assert!(net.await_quiescence(Duration::from_millis(50), Duration::from_secs(5)));
+        assert_eq!(net.undeliverable(), 0);
         let peers = net.shutdown();
         let total: u32 = peers.values().map(|p| p.seen).sum();
         assert_eq!(total, 16);
@@ -513,15 +512,18 @@ mod tests {
         }
         for workers in [1, 2] {
             let mut net: ParallelNet<Token, Node> = ParallelNet::with_config(small(workers, 4));
-            net.add_peer(PeerId(0), Node::Burst(Burst { target: PeerId(1) }));
-            net.add_peer(PeerId(1), Node::Sink(Sink { seen: 0 }));
             net.open_pipe(PeerId(0), PeerId(1));
+            net.add_peers([
+                (PeerId(0), Node::Burst(Burst { target: PeerId(1) })),
+                (PeerId(1), Node::Sink(Sink { seen: 0 })),
+            ]);
             net.inject(PeerId(9), PeerId(0), Token(100));
             assert!(
                 net.await_quiescence(Duration::from_millis(50), Duration::from_secs(10)),
                 "stalled burst must drain ({workers} workers)"
             );
             assert!(net.max_mailbox_depth() <= 4);
+            assert_eq!(net.undeliverable(), 0, "{workers} workers");
             let peers = net.shutdown();
             match &peers[&PeerId(1)] {
                 Node::Sink(s) => assert_eq!(s.seen, 100, "{workers} workers"),
@@ -557,16 +559,20 @@ mod tests {
         let burst = 10u32;
         let mut net: ParallelNet<Token, RingBurst> =
             ParallelNet::with_config(RuntimeConfig { workers: 2, mailbox_depth: 2, quantum: 4 });
-        for i in 0..n {
-            net.add_peer(PeerId(i), RingBurst { next: PeerId((i + 1) % n), burst, seen: 0 });
-        }
+        // Wire first, then start: every peer sends from `on_start`, so each
+        // ring pipe and every next hop must be routable before the first
+        // `on_start` runs, or the burst goes undeliverable.
         for i in 0..n {
             net.open_pipe(PeerId(i), PeerId((i + 1) % n));
         }
+        net.add_peers(
+            (0..n).map(|i| (PeerId(i), RingBurst { next: PeerId((i + 1) % n), burst, seen: 0 })),
+        );
         assert!(
             net.await_quiescence(Duration::from_millis(100), Duration::from_secs(30)),
             "cyclic backpressure must not wedge"
         );
+        assert_eq!(net.undeliverable(), 0);
         let peers = net.shutdown();
         let total: u32 = peers.values().map(|p| p.seen).sum();
         // Each of the n*burst tokens is delivered 21 times (TTL 20 + 1).

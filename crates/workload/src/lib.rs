@@ -4,17 +4,20 @@
 //! ([`topology::Topology`]), seeded data generators ([`data_gen`]) and
 //! complete scenario builders ([`scenario::Scenario`]) that assemble a
 //! validated `NetworkConfig` ready to run on the simulator — the library
-//! equivalent of the demo's hand-arranged networks. The [`crash`] module
-//! runs the durability scenario family: kill a node mid-update, recover
-//! it from its `codb-store` data directory, verify reconvergence. The
-//! [`faultplan`] module generalises it into a deterministic
-//! fault-injection harness: seeded, replayable schedules of
-//! crash/restart/checkpoint/message-loss events whose outcome is checked
-//! against a never-crashed control network.
+//! equivalent of the demo's hand-arranged networks.
+//!
+//! [`faultplan`] is the one fault harness: seeded, replayable schedules
+//! of crash / restart / checkpoint / host-crash / message-loss events,
+//! each checked against a never-crashed control network. Its presets
+//! cover the durability scenario family, from a single victim killed
+//! mid-update and recovered from its `codb-store` data directory
+//! ([`FaultPlan::crash_restart`]) to host power cuts under shared group
+//! commit. [`parallel`] runs sustained ingest on the threaded runtime
+//! against the simulator, plus the host-crash check there, with the same
+//! power-cut model as the fault plans.
 
 #![warn(missing_docs)]
 
-pub mod crash;
 pub mod data_gen;
 pub mod faultplan;
 pub mod parallel;
@@ -22,11 +25,10 @@ pub mod scenario;
 pub mod simscale;
 pub mod topology;
 
-pub use crash::{run_crash_restart, CrashRestartPlan, CrashRestartReport};
 pub use data_gen::{generate, generate_distinct, DataDist};
 pub use faultplan::{
-    run_fault_plan, run_fault_plan_differential, run_fault_plan_traced, CodecDifferentialReport,
-    Fault, FaultKind, FaultPlan, FaultPlanReport, Round,
+    run_fault_plan, run_fault_plan_differential, run_fault_plan_traced, update_events,
+    CodecDifferentialReport, Fault, FaultKind, FaultPlan, FaultPlanReport, Round, RoundCost,
 };
 pub use parallel::{
     run_parallel_host_crash, run_parallel_ingest, ParallelCrashReport, ParallelIngestPlan,

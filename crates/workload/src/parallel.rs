@@ -20,8 +20,10 @@
 //! a real power cut), and the network is rebuilt from disk. The harness
 //! proves **no acked update is lost**: recovery must replay, from the same
 //! store generation, at least every record that was fsync-covered when the
-//! crash hit.
+//! crash hit. The power-cut model (capture, chop, check) is the one the
+//! fault plans use.
 
+use crate::faultplan::DurableWatermark;
 use crate::scenario::Scenario;
 use codb_core::{NodeId, NodeSettings, ParallelCoDbNet};
 use codb_net::{RuntimeConfig, SimConfig};
@@ -205,16 +207,6 @@ pub struct ParallelCrashReport {
     pub post_restart_quiesced: bool,
 }
 
-/// Durable watermark captured per node the instant before the "crash"
-/// (the pool's no-drain shutdown).
-struct Watermark {
-    node: NodeId,
-    generation: u64,
-    durable_frames: u64,
-    durable_len: u64,
-    wal_path: std::path::PathBuf,
-}
-
 /// Host-crash durability on the threaded runtime: run the plan's ingest
 /// schedule persistent under `GroupCommit`, kill the whole pool mid-flight
 /// (no drain), chop every WAL's unsynced tail at a seeded point, restart
@@ -262,35 +254,17 @@ pub fn run_parallel_host_crash(
     let final_nodes = par.shutdown();
 
     // Capture durable watermarks, then drop the store handles before
-    // touching the files.
-    let mut watermarks = Vec::with_capacity(final_nodes.len());
-    for (id, node) in &final_nodes {
-        let store = node.store().expect("persistent node has a store");
-        watermarks.push(Watermark {
-            node: *id,
-            generation: store.generation(),
-            durable_frames: store.durable_wal_records(),
-            durable_len: store.durable_wal_len(),
-            wal_path: store.wal_path().to_owned(),
-        });
-    }
+    // chopping each WAL's unsynced tail.
+    let watermarks: Vec<(NodeId, DurableWatermark)> = final_nodes
+        .iter()
+        .map(|(id, node)| {
+            (*id, DurableWatermark::capture(node.store().expect("persistent node has a store")))
+        })
+        .collect();
     drop(final_nodes);
-
-    // Chop each WAL to a seeded point at or past its durable watermark —
-    // the unsynced tail a power cut would take with it.
     let mut rng = SmallRng::seed_from_u64(plan.seed.wrapping_mul(0xA076_1D64_78BD_642F));
-    for w in &watermarks {
-        let len = std::fs::metadata(&w.wal_path).expect("crashed WAL exists").len();
-        let unsynced = len.saturating_sub(w.durable_len);
-        let cut = w.durable_len + rng.gen_range(0..unsynced + 1);
-        if cut < len {
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(&w.wal_path)
-                .expect("reopen WAL for truncation")
-                .set_len(cut)
-                .expect("truncate WAL");
-        }
+    for (_, w) in &watermarks {
+        w.chop(&mut rng);
     }
 
     // Phase 2: rebuild from disk and verify the no-acked-loss guarantee.
@@ -305,16 +279,15 @@ pub fn run_parallel_host_crash(
     let mut acked_records_checked = 0;
     let mut acked_records_preserved = true;
     let mut recovered_nodes = 0;
-    for w in &watermarks {
+    for (node, w) in &watermarks {
         let stats = recovered
             .iter()
-            .find(|(id, _)| *id == w.node)
+            .find(|(id, _)| id == node)
             .and_then(|(_, s)| s.as_ref())
             .expect("crashed node recovers from disk");
         recovered_nodes += 1;
-        acked_records_checked += w.durable_frames;
-        acked_records_preserved &=
-            stats.generation == w.generation && stats.wal_records_replayed >= w.durable_frames;
+        acked_records_checked += w.acked_records();
+        acked_records_preserved &= w.preserved_by(stats);
     }
 
     // The recovered network must still be a working network: one more

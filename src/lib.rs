@@ -51,7 +51,8 @@
 //! (the durable storage engine: WAL + snapshots + crash recovery +
 //! shared group-commit fsync scheduling), [`trace`] (the binary flight
 //! recorder every layer emits events into) and [`workload`]
-//! (topology/data/crash-scenario generators for the experiments).
+//! (topology/data generators and the fault-injection harness for the
+//! experiments).
 //!
 //! The crate map with a data-flow diagram lives in [`architecture`]
 //! (`docs/ARCHITECTURE.md`); the normative durability contract in
@@ -89,9 +90,8 @@ pub mod prelude {
         read_trace_file, FileRecorder, RingRecorder, Summary, TraceEvent, TraceFile, Tracer,
     };
     pub use codb_workload::{
-        run_crash_restart, run_fault_plan, run_fault_plan_differential, CodecDifferentialReport,
-        CrashRestartPlan, CrashRestartReport, DataDist, FaultPlan, FaultPlanReport, RuleStyle,
-        Scenario, Topology,
+        run_fault_plan, run_fault_plan_differential, update_events, CodecDifferentialReport,
+        DataDist, FaultPlan, FaultPlanReport, RuleStyle, Scenario, Topology,
     };
 }
 

@@ -7,23 +7,25 @@ use codb::core::NodeId;
 use codb::prelude::*;
 use codb::store::ScratchDir;
 
+/// Runs [`FaultPlan::crash_restart`] with the kill a third of the way
+/// through the first update.
+fn crash_restart(scenario: Scenario, victim: NodeId, initiator: NodeId) -> FaultPlanReport {
+    let tmp = ScratchDir::new("durability-crash-restart");
+    let kill_at = (update_events(scenario) / 3).max(1);
+    let plan = FaultPlan::crash_restart(scenario, victim, kill_at, initiator, None);
+    run_fault_plan(&plan, tmp.path()).unwrap()
+}
+
 /// The headline acceptance scenario: kill a chain node mid-flood, recover
-/// from disk, verify exact (instance + null factory) equality with a
-/// control node after reconvergence.
+/// from disk, verify exact (instance + null factory) equality with the
+/// control network on every node after reconvergence.
 #[test]
 fn crashed_node_recovers_exactly_and_reconverges() {
-    let tmp = ScratchDir::new("durability-accept");
     let scenario = Scenario { tuples_per_node: 30, ..Scenario::quick(Topology::Chain(5)) };
-    let plan = CrashRestartPlan::new(scenario, NodeId(2));
-    let report = run_crash_restart(&plan, tmp.path()).unwrap();
-    assert!(report.killed_mid_update, "kill must land mid-update: {report:?}");
-    assert!(report.instances_equal, "instance equality: {report:?}");
-    assert!(report.factories_equal, "null-factory equality: {report:?}");
-    assert!(report.all_nodes_equal, "whole-network fixpoint: {report:?}");
-    assert!(
-        report.victim_tuples_final >= report.victim_tuples_at_recovery,
-        "reconvergence only adds: {report:?}"
-    );
+    let report = crash_restart(scenario, NodeId(2), scenario.sink());
+    assert_eq!(report.crashes_mid_round, 1, "kill must land mid-update: {report:?}");
+    assert_eq!(report.nodes_equal, report.nodes, "instance equality everywhere: {report:?}");
+    assert_eq!(report.factories_equal, report.nodes, "null-factory equality: {report:?}");
 }
 
 /// The crash-rejoin acceptance scenario (ISSUE 3): with incremental
@@ -33,20 +35,18 @@ fn crashed_node_recovers_exactly_and_reconverges() {
 /// keys the id, and the network still reaches the control fixpoint.
 #[test]
 fn recovered_initiator_rejoins_first_class_with_incremental_updates() {
-    let tmp = ScratchDir::new("durability-rejoin");
     let scenario = Scenario { tuples_per_node: 25, ..Scenario::quick(Topology::Chain(4)) };
     let victim = scenario.sink();
-    let plan =
-        CrashRestartPlan { recovered_initiates: true, ..CrashRestartPlan::new(scenario, victim) };
-    assert!(plan.incremental_updates, "incremental updates are the default");
-    let report = run_crash_restart(&plan, tmp.path()).unwrap();
-    assert!(report.killed_mid_update, "{report:?}");
+    assert!(NodeSettings::default().incremental_updates, "incremental updates are the default");
+    let report = crash_restart(scenario, victim, victim);
+    assert_eq!(report.crashes_mid_round, 1, "{report:?}");
     assert!(report.rejoin_messages >= 2, "handshake must run: {report:?}");
-    assert_eq!(report.reconverge_origin, victim, "{report:?}");
-    assert_eq!(report.recovered_update.epoch, report.victim_epoch, "{report:?}");
-    assert!(report.recovered_update.seq >= 1, "counters resumed: {report:?}");
-    assert!(report.recovered_exactly(), "{report:?}");
-    assert!(report.all_nodes_equal, "{report:?}");
+    let recovered_update = report.round_costs[1].update;
+    assert_eq!(recovered_update.origin, victim, "{report:?}");
+    assert_eq!(recovered_update.epoch, report.recoveries[0].1.epoch, "{report:?}");
+    assert!(recovered_update.seq >= 1, "counters resumed: {report:?}");
+    assert_eq!(report.nodes_equal, report.nodes, "{report:?}");
+    assert_eq!(report.factories_equal, report.nodes, "{report:?}");
 }
 
 /// Seeded fault-injection schedules reconverge: the system-level pin of
@@ -114,16 +114,14 @@ fn live_open_recovery_still_triggers_rejoin_invalidation() {
 /// counters (no null is ever minted twice for the same template).
 #[test]
 fn glav_crash_recovery_is_isomorphic_with_equal_factories() {
-    let tmp = ScratchDir::new("durability-glav");
     let scenario = Scenario {
         rule_style: RuleStyle::ProjectGlav,
         tuples_per_node: 15,
         ..Scenario::quick(Topology::Chain(4))
     };
-    let plan = CrashRestartPlan::new(scenario, NodeId(1));
-    let report = run_crash_restart(&plan, tmp.path()).unwrap();
-    assert!(report.isomorphic, "{report:?}");
-    assert!(report.factories_equal, "{report:?}");
+    let report = crash_restart(scenario, NodeId(1), scenario.sink());
+    assert_eq!(report.nodes_isomorphic, report.nodes, "{report:?}");
+    assert_eq!(report.factories_equal, report.nodes, "{report:?}");
 }
 
 /// Persistence survives a full process-style lifecycle driven through the
